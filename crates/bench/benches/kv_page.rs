@@ -81,14 +81,22 @@ fn bench_kv_page_rollout(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("shared", n), &n, |b, _| {
             b.iter(|| {
                 let mut engine = BatchEngine::forked(&template, n);
-                black_box(engine.resume_greedy(&seeds, steps))
+                black_box(
+                    engine
+                        .resume_greedy(&seeds, steps)
+                        .expect("one seed per fork"),
+                )
             });
         });
         group.bench_with_input(BenchmarkId::new("unshared", n), &n, |b, _| {
             b.iter(|| {
                 let sessions = (0..n).map(|_| DecodeSession::new(&reference)).collect();
                 let mut engine = BatchEngine::new(sessions);
-                black_box(engine.generate_greedy(&prompts, steps))
+                black_box(
+                    engine
+                        .generate_greedy(&prompts, steps)
+                        .expect("one prompt per session"),
+                )
             });
         });
     }

@@ -430,7 +430,9 @@ pub fn cmd_generate(flags: &Flags) -> Result<String, CliError> {
         })
         .collect();
     let mut engine = BatchEngine::new(sessions);
-    let generated = engine.generate_greedy(&prompts, steps);
+    let generated = engine
+        .generate_greedy(&prompts, steps)
+        .map_err(|e| err(e.to_string()))?;
     let sessions = engine.into_sessions();
 
     let mut out = format!(

@@ -61,7 +61,7 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use tender_metrics::engine as metrics;
 use tender_metrics::kernel as kernel_metrics;
@@ -903,13 +903,15 @@ impl KvCache {
         };
         if len == n_pages * page_rows {
             // Every page is full (or there are none): open a new tail page.
-            let id = self.alloc_or_demote(is_k, slot)?;
+            let key = self.plane_key(is_k, slot);
+            let id =
+                self.alloc_or_demote(|| self.arena.alloc_on(key, self.fresh_payload(is_k, slot)))?;
             self.plane_mut(is_k, slot).pages.push(id);
         } else {
             // Partial tail page; copy-on-write if a fork still shares it.
             let tail = *self.plane(is_k, slot).pages.last().expect("partial tail");
             if self.arena.refs(tail) > 1 {
-                let new_id = self.cow_or_demote(tail)?;
+                let new_id = self.alloc_or_demote(|| self.arena.cow_clone(tail))?;
                 *self
                     .plane_mut(is_k, slot)
                     .pages
@@ -1003,34 +1005,23 @@ impl KvCache {
         }
     }
 
-    /// Demote-and-retry allocation. Interim cap refusals are counted by
-    /// the arena as `alloc_retries`; only the terminal refusal — demotion
-    /// ladder at its floor, append about to fail — is an `evict_failure`.
-    fn alloc_or_demote(&self, is_k: bool, slot: usize) -> Result<PageId, EvictError> {
-        let key = self.plane_key(is_k, slot);
+    /// Demote-and-retry allocation: `alloc` (a fresh page or a
+    /// copy-on-write clone) is retried after each demotion of this cache's
+    /// own pages. Interim cap refusals are counted by the arena as
+    /// `alloc_retries`; only the terminal refusal — demotion ladder at its
+    /// floor, append about to fail — is an `evict_failure`.
+    fn alloc_or_demote(
+        &self,
+        alloc: impl Fn() -> Result<PageId, EvictError>,
+    ) -> Result<PageId, EvictError> {
         loop {
-            match self.arena.alloc_on(key, self.fresh_payload(is_k, slot)) {
+            let err = match alloc() {
                 Ok(id) => return Ok(id),
-                Err(e) => {
-                    if !self.demote_one() {
-                        self.arena.note_evict_failure();
-                        return Err(e);
-                    }
-                }
-            }
-        }
-    }
-
-    fn cow_or_demote(&self, tail: PageId) -> Result<PageId, EvictError> {
-        loop {
-            match self.arena.cow_clone(tail) {
-                Ok(id) => return Ok(id),
-                Err(e) => {
-                    if !self.demote_one() {
-                        self.arena.note_evict_failure();
-                        return Err(e);
-                    }
-                }
+                Err(e) => e,
+            };
+            if !self.demote_one() {
+                self.arena.note_evict_failure();
+                return Err(err);
             }
         }
     }
@@ -1394,10 +1385,9 @@ impl Error for StepError {}
 ///
 /// Per-session failures (a single slot's [`StepError`]) are *not* batch
 /// errors — [`BatchEngine::try_step_all`] reports those per slot so one
-/// full session cannot discard every other session's logits. `BatchError`
-/// covers the two batch-level cases: a structurally malformed call
-/// (argument length ≠ session count) and, for the legacy collapsed
-/// [`BatchEngine::step_all`] signature, the lowest-indexed slot's error.
+/// full session cannot discard every other session's logits, and the
+/// greedy rollouts truncate instead. `BatchError` is the batch-level case:
+/// a structurally malformed call (argument length ≠ session count).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchError {
     /// The caller passed one argument per session but the counts differ.
@@ -1407,8 +1397,6 @@ pub enum BatchError {
         /// Arguments actually supplied.
         got: usize,
     },
-    /// A per-session step failed (collapsed form; see [`BatchEngine::step_all`]).
-    Step(StepError),
 }
 
 impl fmt::Display for BatchError {
@@ -1417,18 +1405,11 @@ impl fmt::Display for BatchError {
             Self::LengthMismatch { expected, got } => {
                 write!(f, "batch call expects {expected} arguments, got {got}")
             }
-            Self::Step(e) => write!(f, "batch step failed: {e}"),
         }
     }
 }
 
 impl Error for BatchError {}
-
-impl From<StepError> for BatchError {
-    fn from(e: StepError) -> Self {
-        Self::Step(e)
-    }
-}
 
 /// One in-flight generation: a model reference plus its paged KV cache.
 ///
@@ -1459,14 +1440,7 @@ impl<'m> DecodeSession<'m> {
     /// A fresh session whose cache stores K/V in `mode`, on a private,
     /// unbounded arena.
     pub fn with_cache_mode(model: impl Into<ModelRef<'m>>, mode: KvCacheMode) -> Self {
-        let model = model.into();
-        let cache = KvCache::with_mode(&model.weights().shape, mode);
-        Self {
-            model,
-            cache,
-            last_step_macs: 0,
-            last_step_kv_int_macs: 0,
-        }
+        Self::with_arena(model, mode, &KvArena::default())
     }
 
     /// A fresh session drawing cache pages from a shared `arena` —
@@ -1604,6 +1578,28 @@ impl<'m> DecodeSession<'m> {
         Ok(pipeline::lm_head(w, self.model.emb_t(), &hidden))
     }
 
+    /// [`DecodeSession::step`], then the greedy next token from its
+    /// logits ([`DecodeSession::greedy_next`]).
+    ///
+    /// # Errors
+    ///
+    /// The [`StepError`] of the step.
+    pub fn step_greedy(&mut self, token: usize) -> Result<usize, StepError> {
+        let logits = self.step(token)?;
+        Ok(self.greedy_next(&logits))
+    }
+
+    /// The greedy choice ([`greedy_token`]) from the last row of `logits`
+    /// this session just produced — a prefill's or a step's.
+    pub fn greedy_next(&self, logits: &Matrix) -> usize {
+        greedy_token(
+            logits,
+            logits.rows() - 1,
+            self.len(),
+            self.model.shape().vocab,
+        )
+    }
+
     /// Cached positions so far (prompt + generated).
     pub fn len(&self) -> usize {
         self.cache.len()
@@ -1667,8 +1663,9 @@ fn argmax_row(logits: &Matrix, row: usize) -> Option<usize> {
 /// `pos % vocab` — position-dependent (so a poisoned rollout does not
 /// repeat one token forever) and independent of thread count.
 ///
-/// Public so decode loops outside this crate (the serving scheduler)
-/// share the exact fallback semantics instead of re-deriving them.
+/// Public so decode loops outside this crate share the exact fallback
+/// semantics instead of re-deriving them; a session applies it through
+/// [`DecodeSession::greedy_next`].
 pub fn greedy_token(logits: &Matrix, row: usize, pos: usize, vocab: usize) -> usize {
     match argmax_row(logits, row) {
         Some(t) => t,
@@ -1682,19 +1679,17 @@ pub fn greedy_token(logits: &Matrix, row: usize, pos: usize, vocab: usize) -> us
 /// Runs multiple [`DecodeSession`]s through the shared worker pool.
 ///
 /// Sessions are independent, so the engine fans each batch operation out
-/// with `pool::par_map`; results come back in session order and every
-/// session is touched exactly once per call, so output is deterministic at
-/// any thread count.
+/// as one pool task per session; results come back in session order and
+/// every session is touched exactly once per call, so output is
+/// deterministic at any thread count.
 pub struct BatchEngine<'m> {
-    slots: Vec<Mutex<DecodeSession<'m>>>,
+    sessions: Vec<DecodeSession<'m>>,
 }
 
 impl<'m> BatchEngine<'m> {
     /// Wraps the given sessions (typically fresh ones, one per prompt).
     pub fn new(sessions: Vec<DecodeSession<'m>>) -> Self {
-        Self {
-            slots: sessions.into_iter().map(Mutex::new).collect(),
-        }
+        Self { sessions }
     }
 
     /// `n` copy-on-write forks of a prefilled template session — the
@@ -1706,12 +1701,40 @@ impl<'m> BatchEngine<'m> {
 
     /// Sessions under management.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.sessions.len()
     }
 
     /// Whether the engine holds no sessions.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.sessions.is_empty()
+    }
+
+    /// [`BatchError::LengthMismatch`] unless `got` arguments are one per
+    /// session.
+    fn check_len(&self, got: usize) -> Result<(), BatchError> {
+        let expected = self.sessions.len();
+        if got != expected {
+            return Err(BatchError::LengthMismatch { expected, got });
+        }
+        Ok(())
+    }
+
+    /// Runs `f(i, session)` for every session, one pool task each, and
+    /// returns the results in session order.
+    fn par_each<R: Send>(
+        &mut self,
+        f: impl Fn(usize, &mut DecodeSession<'m>) -> R + Sync,
+    ) -> Vec<R> {
+        let mut cells: Vec<(&mut DecodeSession<'m>, Option<R>)> =
+            self.sessions.iter_mut().map(|s| (s, None)).collect();
+        pool::par_chunks_mut(&mut cells, 1, |i, cell| {
+            let (session, out) = &mut cell[0];
+            *out = Some(f(i, session));
+        });
+        cells
+            .into_iter()
+            .map(|(_, r)| r.expect("every session ran"))
+            .collect()
     }
 
     /// Prefills session `i` with `prompts[i]` in parallel, returning each
@@ -1723,18 +1746,8 @@ impl<'m> BatchEngine<'m> {
     /// differs from the session count — a malformed caller must not be
     /// able to abort a serving loop with a panic.
     pub fn prefill_all(&mut self, prompts: &[Vec<usize>]) -> Result<Vec<Matrix>, BatchError> {
-        if prompts.len() != self.slots.len() {
-            return Err(BatchError::LengthMismatch {
-                expected: self.slots.len(),
-                got: prompts.len(),
-            });
-        }
-        Ok(pool::par_map(self.slots.len(), |i| {
-            self.slots[i]
-                .lock()
-                .expect("session lock")
-                .prefill(&prompts[i])
-        }))
+        self.check_len(prompts.len())?;
+        Ok(self.par_each(|i, s| s.prefill(&prompts[i])))
     }
 
     /// Steps session `i` with `tokens[i]` in parallel, returning each
@@ -1752,166 +1765,96 @@ impl<'m> BatchEngine<'m> {
         &mut self,
         tokens: &[usize],
     ) -> Result<Vec<Result<Matrix, StepError>>, BatchError> {
-        if tokens.len() != self.slots.len() {
-            return Err(BatchError::LengthMismatch {
-                expected: self.slots.len(),
-                got: tokens.len(),
-            });
-        }
-        Ok(pool::par_map(self.slots.len(), |i| {
-            self.slots[i].lock().expect("session lock").step(tokens[i])
-        }))
-    }
-
-    /// Collapsed form of [`BatchEngine::try_step_all`]: all logits in
-    /// session order, or the lowest-indexed failing session's error.
-    ///
-    /// # Errors
-    ///
-    /// [`BatchError::LengthMismatch`] for a malformed call, or
-    /// [`BatchError::Step`] carrying the lowest-indexed slot's
-    /// [`StepError`]. Callers that need the surviving sessions' logits
-    /// should use [`BatchEngine::try_step_all`].
-    pub fn step_all(&mut self, tokens: &[usize]) -> Result<Vec<Matrix>, BatchError> {
-        self.try_step_all(tokens)?
-            .into_iter()
-            .map(|r| r.map_err(BatchError::from))
-            .collect()
+        self.check_len(tokens.len())?;
+        Ok(self.par_each(|i, s| s.step(tokens[i])))
     }
 
     /// Prefills every session with its prompt, then greedily decodes up to
-    /// `steps` tokens per session (argmax, ties to the lowest id; a row
-    /// with no finite logit degrades to the deterministic fallback token
-    /// and is counted — see `decode_argmax_sanitized`). Each session's
-    /// whole rollout runs as one pool task, so rollouts proceed
-    /// independently and results come back in session order.
+    /// `steps` tokens per session in [`BatchEngine::lockstep_decode`].
+    /// Results come back in session order.
     ///
-    /// A rollout that hits a [`StepError`] (typically `SequenceFull` when
-    /// the prompt plus rollout would exceed the context window) is
-    /// *truncated* at the failing step rather than panicking inside the
-    /// pool task: the session keeps the tokens decoded so far and the
-    /// truncation is counted in `metrics::engine::DECODE_TRUNCATED`, so
-    /// one over-long rollout cannot poison the batch.
+    /// Prompts prefill in parallel ([`BatchEngine::prefill_all`]). When
+    /// every session shares one capped arena they prefill sequentially in
+    /// session order instead, each followed by a boundary drain, so
+    /// demote-and-retry pressure resolves identically at any thread count;
+    /// a prompt the arena cannot hold truncates its rollout to nothing.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the prompt count differs from the session count.
-    ///
-    /// When every session shares one *capped* arena, rollouts are not
-    /// independent (they compete for the byte budget), so the engine
-    /// switches to lockstep decode: sequential prefill, then one parallel
-    /// step per iteration with the demotion queue drained at each
-    /// boundary — see [`BatchEngine::lockstep_decode`].
-    pub fn generate_greedy(&mut self, prompts: &[Vec<usize>], steps: usize) -> Vec<Vec<usize>> {
-        assert_eq!(prompts.len(), self.slots.len(), "one prompt per session");
-        if let Some(arena) = self.shared_capped_arena() {
-            let n = self.slots.len();
-            let mut next: Vec<Option<usize>> = Vec::with_capacity(n);
-            // Sequential prefill in session order: single-threaded, so
-            // demote-and-retry pressure resolves identically at any
-            // thread count (GEMMs inside each prefill still use the
-            // pool).
-            for (i, prompt) in prompts.iter().enumerate().take(n) {
-                arena.advance_clock();
-                let mut session = self.slots[i].lock().expect("session lock");
-                let vocab = session.model.weights().shape.vocab;
-                match session.try_prefill(prompt) {
-                    Ok(logits) => {
-                        let len = session.len();
-                        next.push(Some(greedy_token(&logits, logits.rows() - 1, len, vocab)));
-                    }
-                    Err(_) => {
+    /// [`BatchError::LengthMismatch`] when the prompt count differs from
+    /// the session count.
+    pub fn generate_greedy(
+        &mut self,
+        prompts: &[Vec<usize>],
+        steps: usize,
+    ) -> Result<Vec<Vec<usize>>, BatchError> {
+        self.check_len(prompts.len())?;
+        let arena = self.shared_capped_arena();
+        let next = match &arena {
+            None => self.par_each(|i, s| {
+                let logits = s.prefill(&prompts[i]);
+                Some(s.greedy_next(&logits))
+            }),
+            Some(arena) => (self.sessions.iter_mut().zip(prompts))
+                .map(|(s, prompt)| {
+                    arena.advance_clock();
+                    let next = s.try_prefill(prompt).ok().map(|l| s.greedy_next(&l));
+                    if next.is_none() {
                         metrics::DECODE_TRUNCATED.incr();
-                        next.push(None);
                     }
-                }
-                drop(session);
-                drain_demotions(&arena, 0);
-            }
-            return self.lockstep_decode(&arena, next, steps);
-        }
-        pool::par_map(self.slots.len(), |i| {
-            let mut session = self.slots[i].lock().expect("session lock");
-            let vocab = session.model.weights().shape.vocab;
-            let logits = session.prefill(&prompts[i]);
-            let mut next = greedy_token(&logits, logits.rows() - 1, session.len(), vocab);
-            let mut out = Vec::with_capacity(steps);
-            for _ in 0..steps {
-                out.push(next);
-                match session.step(next) {
-                    Ok(logits) => next = greedy_token(&logits, 0, session.len(), vocab),
-                    Err(_) => {
-                        metrics::DECODE_TRUNCATED.incr();
-                        break;
-                    }
-                }
-            }
-            out
-        })
+                    drain_demotions(arena, 0);
+                    next
+                })
+                .collect(),
+        };
+        Ok(self.lockstep_decode(arena.as_ref(), next, steps))
     }
 
     /// Greedy decode for *already prefilled* sessions (typically forks of
     /// a shared-prefix template): session `i` starts from seed token
-    /// `seeds[i]` and decodes up to `steps` tokens, with the same
-    /// truncation semantics as [`BatchEngine::generate_greedy`].
+    /// `seeds[i]` and decodes up to `steps` tokens in
+    /// [`BatchEngine::lockstep_decode`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the seed count differs from the session count.
-    pub fn resume_greedy(&mut self, seeds: &[usize], steps: usize) -> Vec<Vec<usize>> {
-        assert_eq!(seeds.len(), self.slots.len(), "one seed token per session");
-        if let Some(arena) = self.shared_capped_arena() {
-            let next = seeds.iter().map(|&s| Some(s)).collect();
-            return self.lockstep_decode(&arena, next, steps);
-        }
-        pool::par_map(self.slots.len(), |i| {
-            let mut session = self.slots[i].lock().expect("session lock");
-            let vocab = session.model.weights().shape.vocab;
-            let mut next = seeds[i];
-            let mut out = Vec::with_capacity(steps);
-            for _ in 0..steps {
-                out.push(next);
-                match session.step(next) {
-                    Ok(logits) => next = greedy_token(&logits, 0, session.len(), vocab),
-                    Err(_) => {
-                        metrics::DECODE_TRUNCATED.incr();
-                        break;
-                    }
-                }
-            }
-            out
-        })
+    /// [`BatchError::LengthMismatch`] when the seed count differs from the
+    /// session count.
+    pub fn resume_greedy(
+        &mut self,
+        seeds: &[usize],
+        steps: usize,
+    ) -> Result<Vec<Vec<usize>>, BatchError> {
+        self.check_len(seeds.len())?;
+        let arena = self.shared_capped_arena();
+        let next = seeds.iter().map(|&s| Some(s)).collect();
+        Ok(self.lockstep_decode(arena.as_ref(), next, steps))
     }
 
     /// The one arena every session draws pages from, if it is shared by
     /// all of them *and* byte-capped. Private arenas, mixed arenas, or an
     /// uncapped shared arena come back `None` — those rollouts cannot
-    /// starve each other, so the independent per-task path stays correct.
+    /// starve each other, so their steps need no reservation walk.
     fn shared_capped_arena(&self) -> Option<KvArena> {
-        let first = self
-            .slots
-            .first()?
-            .lock()
-            .expect("session lock")
-            .arena()
-            .clone();
+        let first = self.sessions.first()?.arena();
         first.config().capacity_bytes?;
-        if self.slots[1..]
-            .iter()
-            .all(|s| s.lock().expect("session lock").arena().same_arena(&first))
-        {
-            Some(first)
-        } else {
-            None
-        }
+        (self.sessions.iter())
+            .all(|s| s.arena().same_arena(first))
+            .then(|| first.clone())
     }
 
-    /// Lockstep greedy decode over one shared, byte-capped arena.
+    /// The greedy decode loop (argmax, ties to the lowest id; a row with no
+    /// finite logit degrades to the deterministic fallback token and is
+    /// counted — see `decode_argmax_sanitized`). Each iteration feeds every
+    /// live session its pending token, one pool task per session. A
+    /// rollout whose step fails with a [`StepError`] (typically
+    /// `SequenceFull` when prompt plus rollout would exceed the context
+    /// window) keeps the tokens decoded so far, including the one it
+    /// failed to feed, and is counted in `metrics::engine::DECODE_TRUNCATED`
+    /// — one over-long rollout cannot poison the batch.
     ///
-    /// Rollouts competing for a single budget are only deterministic if
-    /// the cap is never contended *inside* a parallel phase, so each
-    /// iteration runs a fixed sequence at the boundary before any worker
-    /// steps a session:
+    /// Rollouts competing for one capped `arena` are only deterministic if
+    /// the cap is never contended *inside* the parallel step, so each
+    /// iteration first runs a fixed sequence at the boundary:
     ///
     /// 1. advance the arena clock (new demotion epoch);
     /// 2. price the upcoming step exactly — [`KvCache::next_append_alloc_bytes`]
@@ -1921,103 +1864,70 @@ impl<'m> BatchEngine<'m> {
     ///    watermark is respected *and* the whole step fits;
     /// 4. if it still does not fit, demote each session's own pages in
     ///    session order, truncating (in session order) any session whose
-    ///    need cannot be covered — the pending token is kept, matching
-    ///    the independent path's truncate-at-failing-step semantics;
-    /// 5. step every surviving session via `pool::par_map` — no append
-    ///    can now hit the cap, so no demotion happens off-schedule.
+    ///    need cannot be covered, as a failed step would.
     ///
     /// Every decision in 1–4 depends only on session order, queue keys,
     /// and byte arithmetic, so transcripts are byte-identical at any
-    /// thread count and under any GEMM backend.
+    /// thread count and under any GEMM backend. Private or uncapped arenas
+    /// (`arena` is `None`) cannot starve each other and skip 1–4.
     fn lockstep_decode(
         &mut self,
-        arena: &KvArena,
+        arena: Option<&KvArena>,
         mut next: Vec<Option<usize>>,
         steps: usize,
     ) -> Vec<Vec<usize>> {
-        let n = self.slots.len();
-        let mut outs: Vec<Vec<usize>> = (0..n).map(|_| Vec::with_capacity(steps)).collect();
+        let mut outs: Vec<Vec<usize>> = next.iter().map(|_| Vec::with_capacity(steps)).collect();
         for _ in 0..steps {
             if next.iter().all(Option::is_none) {
                 break;
             }
-            arena.advance_clock();
-            let mut needs = vec![0u64; n];
-            let mut total_need = 0u64;
-            for (i, slot) in self.slots.iter().enumerate() {
-                if next[i].is_some() {
-                    let need = slot
-                        .lock()
-                        .expect("session lock")
-                        .cache()
-                        .next_append_alloc_bytes();
-                    needs[i] = need;
-                    total_need += need;
-                }
+            if let Some(arena) = arena {
+                self.reserve_step(arena, &mut next, &mut outs);
             }
-            drain_demotions(arena, total_need);
-            // Deterministic reservation walk: commit each session's need
-            // against the live headroom in session order; demote that
-            // session's own pages when short, truncate when at the floor.
-            let mut committed = 0u64;
-            for i in 0..n {
-                let Some(tok) = next[i] else { continue };
-                loop {
-                    if committed + needs[i] <= arena.headroom_bytes() {
-                        committed += needs[i];
-                        break;
-                    }
-                    let demoted = {
-                        let session = self.slots[i].lock().expect("session lock");
-                        session.cache.demote_one()
-                    };
-                    if !demoted {
-                        // Keep the pending token (the independent path
-                        // pushes before the failing step), then retire
-                        // the session.
-                        outs[i].push(tok);
-                        next[i] = None;
-                        metrics::DECODE_TRUNCATED.incr();
-                        break;
-                    }
-                }
-            }
-            let stepped: Vec<Option<(usize, Option<usize>)>> = pool::par_map(n, |i| {
-                let tok = next[i]?;
-                let mut session = self.slots[i].lock().expect("session lock");
-                let vocab = session.model.weights().shape.vocab;
-                match session.step(tok) {
-                    Ok(logits) => {
-                        let len = session.len();
-                        Some((tok, Some(greedy_token(&logits, 0, len, vocab))))
-                    }
-                    Err(_) => Some((tok, None)),
-                }
-            });
+            let stepped = self.par_each(|i, s| next[i].map(|tok| (tok, s.step_greedy(tok).ok())));
             for (i, r) in stepped.into_iter().enumerate() {
-                match r {
-                    Some((tok, Some(nt))) => {
-                        outs[i].push(tok);
-                        next[i] = Some(nt);
-                    }
-                    Some((tok, None)) => {
-                        outs[i].push(tok);
-                        next[i] = None;
-                        metrics::DECODE_TRUNCATED.incr();
-                    }
-                    None => {}
+                let Some((tok, nt)) = r else { continue };
+                outs[i].push(tok);
+                if nt.is_none() {
+                    metrics::DECODE_TRUNCATED.incr();
                 }
+                next[i] = nt;
             }
         }
         outs
     }
 
+    /// Steps 1–4 of [`BatchEngine::lockstep_decode`] on one capped arena:
+    /// afterwards every session still in `next` has its append covered.
+    fn reserve_step(&self, arena: &KvArena, next: &mut [Option<usize>], outs: &mut [Vec<usize>]) {
+        arena.advance_clock();
+        let needs: Vec<u64> = (self.sessions.iter().zip(next.iter()))
+            .map(|(s, tok)| tok.map_or(0, |_| s.cache().next_append_alloc_bytes()))
+            .collect();
+        drain_demotions(arena, needs.iter().sum());
+        // Deterministic reservation walk: commit each session's need
+        // against the live headroom in session order; demote that
+        // session's own pages when short, truncate when at the floor.
+        let mut committed = 0u64;
+        for (i, need) in needs.into_iter().enumerate() {
+            let Some(tok) = next[i] else { continue };
+            while committed + need > arena.headroom_bytes() {
+                if !self.sessions[i].cache.demote_one() {
+                    outs[i].push(tok);
+                    next[i] = None;
+                    metrics::DECODE_TRUNCATED.incr();
+                    break;
+                }
+            }
+            if next[i].is_some() {
+                committed += need;
+            }
+        }
+    }
+
     /// Consumes the engine, returning its sessions in order.
     pub fn into_sessions(self) -> Vec<DecodeSession<'m>> {
-        self.slots
-            .into_iter()
-            .map(|m| m.into_inner().expect("session lock"))
-            .collect()
+        self.sessions
     }
 }
 
@@ -2441,7 +2351,9 @@ mod tests {
         // Independent path: private, unbounded arenas.
         let solo_sessions: Vec<_> = (0..3).map(|_| DecodeSession::new(&reference)).collect();
         let mut solo = BatchEngine::new(solo_sessions);
-        let want = solo.generate_greedy(&prompts, steps);
+        let want = solo
+            .generate_greedy(&prompts, steps)
+            .expect("one prompt per session");
 
         // One shared, capped (but ample) arena routes through the
         // lockstep path, which must be byte-identical when the budget is
@@ -2455,7 +2367,9 @@ mod tests {
             .map(|_| DecodeSession::with_arena(&reference, KvCacheMode::F32, &arena))
             .collect();
         let mut shared = BatchEngine::new(shared_sessions);
-        let got = shared.generate_greedy(&prompts, steps);
+        let got = shared
+            .generate_greedy(&prompts, steps)
+            .expect("one prompt per session");
         assert_eq!(
             got, want,
             "lockstep decode diverged from independent rollouts"
@@ -2567,32 +2481,75 @@ mod tests {
         let (shape, model) = tiny();
         let reference = model.reference();
         let prompts: Vec<Vec<usize>> = (0..3).map(|s| tokens(6 + s, shape.vocab, s)).collect();
-
-        // Serial rollouts.
-        let mut serial = Vec::new();
-        for p in &prompts {
-            let mut session = DecodeSession::new(&reference);
-            let logits = session.prefill(p);
-            let mut next = argmax_row(&logits, logits.rows() - 1).expect("finite logits");
-            let mut out = Vec::new();
-            for _ in 0..5 {
-                out.push(next);
-                let logits = session.step(next).expect("in-window step");
-                next = argmax_row(&logits, 0).expect("finite logits");
-            }
-            serial.push(out);
-        }
-
-        let sessions = prompts
+        let steps = 5;
+        // Three quarters of the longest rollout's f32 footprint: its appends must
+        // demote their own pages inline and retry to fit.
+        let planes = 2 * (shape.layers * shape.heads) as u64;
+        let rollout_f32 = planes * (8 + steps as u64) * shape.head_dim() as u64 * 4;
+        let capped = ArenaConfig {
+            page_rows: 2,
+            capacity_bytes: Some(rollout_f32 * 3 / 4),
+            ..ArenaConfig::default()
+        };
+        let shared = KvArena::new(ArenaConfig::default());
+        let private_capped =
+            || DecodeSession::with_arena(&reference, KvCacheMode::F32, &KvArena::new(capped));
+        let shared_uncapped = || DecodeSession::with_arena(&reference, KvCacheMode::F32, &shared);
+        let unbounded = || DecodeSession::new(&reference);
+        check_batch_vs_serial("private unbounded arenas", &prompts, steps, &unbounded);
+        check_batch_vs_serial(
+            "one shared uncapped arena",
+            &prompts,
+            steps,
+            &shared_uncapped,
+        );
+        let sessions = check_batch_vs_serial(
+            "private capped arenas, inline demotion",
+            &prompts,
+            steps,
+            &private_capped,
+        );
+        let retries: u64 = sessions
             .iter()
-            .map(|_| DecodeSession::new(&reference))
+            .map(|s| s.arena().stats().alloc_retries)
+            .sum();
+        assert!(retries > 0, "the cap never forced demote-and-retry");
+    }
+
+    /// Asserts `generate_greedy` over sessions from `session` equals one
+    /// serial rollout per prompt, and returns the batch's sessions.
+    fn check_batch_vs_serial<'m>(
+        layout: &str,
+        prompts: &[Vec<usize>],
+        steps: usize,
+        session: &dyn Fn() -> DecodeSession<'m>,
+    ) -> Vec<DecodeSession<'m>> {
+        let serial: Vec<Vec<usize>> = prompts
+            .iter()
+            .map(|p| {
+                let mut session = session();
+                let logits = session.prefill(p);
+                let mut next = argmax_row(&logits, logits.rows() - 1).expect("finite logits");
+                let mut out = Vec::new();
+                for _ in 0..steps {
+                    out.push(next);
+                    let logits = session.step(next).expect("in-window step");
+                    next = argmax_row(&logits, 0).expect("finite logits");
+                }
+                out
+            })
             .collect();
-        let mut engine = BatchEngine::new(sessions);
-        let batched = engine.generate_greedy(&prompts, 5);
-        assert_eq!(batched, serial);
-        for (i, s) in engine.into_sessions().into_iter().enumerate() {
-            assert_eq!(s.len(), prompts[i].len() + 5);
+
+        let mut engine = BatchEngine::new(prompts.iter().map(|_| session()).collect());
+        let batched = engine
+            .generate_greedy(prompts, steps)
+            .expect("one prompt per session");
+        assert_eq!(batched, serial, "{layout}");
+        let sessions = engine.into_sessions();
+        for (s, p) in sessions.iter().zip(prompts) {
+            assert_eq!(s.len(), p.len() + steps, "{layout}");
         }
+        sessions
     }
 
     #[test]
@@ -2625,7 +2582,7 @@ mod tests {
         let mut template = DecodeSession::with_arena(&reference, KvCacheMode::F32, &arena);
         template.prefill(&prompt);
         let mut engine = BatchEngine::forked(&template, seeds.len());
-        let shared = engine.resume_greedy(&seeds, 4);
+        let shared = engine.resume_greedy(&seeds, 4).expect("one seed per fork");
         assert_eq!(shared, serial, "prefix sharing changed a transcript");
     }
 
@@ -2661,19 +2618,6 @@ mod tests {
         for c in 0..expected.cols() {
             assert_eq!(logits[(0, c)], expected[(0, c)]);
         }
-
-        // The collapsed legacy form reports the lowest-indexed error.
-        let mut s0 = DecodeSession::new(&reference);
-        s0.prefill(&full);
-        let mut s1 = DecodeSession::new(&reference);
-        s1.prefill(&short);
-        let mut engine = BatchEngine::new(vec![s0, s1]);
-        assert_eq!(
-            engine.step_all(&[1, 1]),
-            Err(BatchError::Step(StepError::SequenceFull {
-                max_seq: shape.max_seq
-            }))
-        );
     }
 
     #[test]
@@ -2695,7 +2639,13 @@ mod tests {
             mismatch
         );
         assert_eq!(engine.try_step_all(&[0]).err(), Some(mismatch));
-        assert_eq!(engine.step_all(&[0]).err(), Some(mismatch));
+        assert_eq!(
+            engine
+                .generate_greedy(&[tokens(3, shape.vocab, 1)], 2)
+                .err(),
+            Some(mismatch)
+        );
+        assert_eq!(engine.resume_greedy(&[0], 2).err(), Some(mismatch));
         assert!(mismatch.to_string().contains("expects 2 arguments"));
     }
 
@@ -2716,7 +2666,9 @@ mod tests {
             .collect();
         let mut engine = BatchEngine::new(sessions);
         let before = metrics::DECODE_TRUNCATED.get();
-        let out = engine.generate_greedy(&prompts, 10);
+        let out = engine
+            .generate_greedy(&prompts, 10)
+            .expect("one prompt per session");
         assert_eq!(metrics::DECODE_TRUNCATED.get(), before + 1);
         // 4 in-window extensions plus the final predicted-but-unappended
         // token; the healthy session decodes all 10.

@@ -142,7 +142,9 @@ fn pressured_shared_batch_is_run_to_run_deterministic() {
         let mut template = DecodeSession::with_arena(&reference, KvCacheMode::F32, &arena);
         template.prefill(&prefix);
         let mut engine = BatchEngine::forked(&template, seeds.len());
-        let outs = engine.resume_greedy(&seeds, steps);
+        let outs = engine
+            .resume_greedy(&seeds, steps)
+            .expect("one seed per fork");
         let st = arena.stats();
         (
             outs,

@@ -60,9 +60,7 @@ use std::time::Instant;
 use tender_faults as faults;
 use tender_metrics::engine as engine_metrics;
 use tender_metrics::serve as metrics;
-use tender_model::engine::{
-    drain_demotions, greedy_token, DecodeSession, KvCacheMode, ModelRef, StepError,
-};
+use tender_model::engine::{drain_demotions, DecodeSession, KvCacheMode, ModelRef, StepError};
 use tender_model::shape::ModelShape;
 use tender_tensor::arena::DEFAULT_PAGE_ROWS;
 use tender_tensor::rng::DetRng;
@@ -81,7 +79,9 @@ pub struct ServeConfig {
     /// Admission bound: maximum requests waiting for a batch slot.
     pub queue_cap: usize,
     /// Admission bound: total KV bytes reservable across waiting + active
-    /// requests (worst-case footprint of prompt + decode target).
+    /// requests, priced per arena page — prompt pages plus one decode page
+    /// at admission ([`kv_admit_bytes`]), one more page ([`kv_page_bytes`])
+    /// each time a rollout opens one.
     pub kv_budget_bytes: u64,
     /// Maximum sessions decoding concurrently (batch slots).
     pub max_batch: usize,
@@ -231,7 +231,7 @@ pub struct RequestOutcome {
 /// Aggregate result of one scheduler run. All fields are pure functions of
 /// the config and fault seed (wall-clock values go to the metrics bank
 /// only), so two runs at any thread count produce identical reports.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeReport {
     /// The deterministic, line-oriented event log of the run.
     pub transcript: String,
@@ -404,11 +404,6 @@ struct Active<'m> {
     emitted: usize,
 }
 
-enum Progress {
-    InFlight,
-    Terminal(TerminalStatus),
-}
-
 /// The continuous-batching scheduler. See the crate docs for the contract.
 pub struct Scheduler<'m> {
     model: ModelRef<'m>,
@@ -428,11 +423,73 @@ impl<'m> Scheduler<'m> {
     /// deterministic report. Publishes the `metrics::serve` bank as it
     /// goes (counters inline, gauges at the end).
     pub fn run(&mut self) -> ServeReport {
-        let shape = self.model.shape();
-        let cfg = self.cfg.clone();
-        let vocab = shape.vocab;
         let run_start = Instant::now();
+        let mut run = Run::new(self.model, self.cfg.clone());
+        let mut t = 0u64;
+        while run.unresolved() > 0 {
+            if t > run.horizon {
+                let left = run.unresolved();
+                run.line(format!(
+                    "[iter {t}] safety horizon reached with {left} unresolved"
+                ));
+                break;
+            }
+            run.report.iterations += 1;
+            metrics::ITERATIONS.incr();
+            run.drain_and_reprice(t);
+            run.admit(t);
+            run.join(t);
+            run.expire(t);
+            // Injected scheduler stall: drop this iteration's work.
+            // Deadlines (absolute time) keep ticking, so a stalled server
+            // degrades to slower service, never to a hang.
+            let plan = faults::plan();
+            if !run.active.is_empty()
+                && plan.as_ref().is_some_and(|p| p.sched_stall(run.run_key, t))
+            {
+                run.report.stalled_iterations += 1;
+                metrics::STALLED_ITERATIONS.incr();
+                run.line(format!("[iter {t}] sched stall (injected)"));
+            } else {
+                run.work(t, plan.as_deref());
+            }
+            t += 1;
+        }
+        run.finish(run_start)
+    }
+}
 
+/// One scheduler run's state. [`Scheduler::run`] drives it phase by phase
+/// each iteration; every terminal status goes through [`Run::retire`].
+struct Run<'m> {
+    model: ModelRef<'m>,
+    shape: &'m ModelShape,
+    cfg: ServeConfig,
+    /// The page arena every session of the run draws from.
+    arena: KvArena,
+    /// Allocated bytes of one page per plane: the reservation growth unit.
+    page_bytes: u64,
+    /// The prefilled shared-prefix session every request forks, if any.
+    template: Option<DecodeSession<'m>>,
+    /// Content-keyed run identity for the `sched` and serve-level `pool`
+    /// fault streams: distinct configs fault independently.
+    run_key: u64,
+    /// Iteration past which the leftovers are reported unresolved.
+    horizon: u64,
+    pending: VecDeque<Request>,
+    waiting: VecDeque<Admitted>,
+    active: Vec<Active<'m>>,
+    /// KV bytes reserved under the admission budget.
+    reserved: u64,
+    latencies_ns: Vec<u64>,
+    /// The report under construction: transcript, outcomes in terminal
+    /// order, and the counters and peaks observed so far.
+    report: ServeReport,
+}
+
+impl<'m> Run<'m> {
+    fn new(model: ModelRef<'m>, cfg: ServeConfig) -> Self {
+        let shape = model.shape();
         let header = format!(
             "serve: {} requests, arrival seed {}, deadline {} iters, queue cap {}, \
              kv budget {} bytes, batch {}, prefill chunk {}, kv {}, page rows {}, \
@@ -449,21 +506,10 @@ impl<'m> Scheduler<'m> {
             cfg.shared_prefix,
             cfg.kv_watermark,
         );
-        // Content-keyed run identity for the `sched` and serve-level
-        // `pool` fault streams: distinct configs fault independently.
-        let run_key = faults::hash_bytes(header.as_bytes());
-
-        let mut transcript = String::with_capacity(4096);
-        let mut line = |s: String| {
-            transcript.push_str(&s);
-            transcript.push('\n');
-        };
-        line(header.clone());
-
         // One shared page arena for every session in the run: forks share
         // prefix pages, demotion (under a capped arena) frees budget.
         // Demotion is deferred: appends only *enqueue* candidates, and the
-        // boundary drain below requantizes them in clock order — off the
+        // boundary drain requantizes them in clock order — off the
         // per-step critical path, independent of slot interleaving.
         let arena = KvArena::new(ArenaConfig {
             page_rows: cfg.page_rows.max(1),
@@ -472,37 +518,8 @@ impl<'m> Scheduler<'m> {
             deferred_demotion: true,
             ..ArenaConfig::default()
         });
-        let page_bytes = kv_page_bytes(shape, cfg.kv_mode, cfg.page_rows.max(1));
-        let template = if cfg.shared_prefix > 0 {
-            let take = cfg
-                .shared_prefix
-                .min(shape.max_seq.saturating_sub(2))
-                .max(1);
-            let mut rng = DetRng::new(cfg.arrival_seed ^ 0x5eed_caf3);
-            let prefix: Vec<usize> = (0..take).map(|_| rng.below(vocab)).collect();
-            let mut s = DecodeSession::with_arena(self.model, cfg.kv_mode, &arena);
-            match s.try_prefill(&prefix) {
-                Ok(_) => {
-                    line(format!(
-                        "shared prefix: {} tokens, {} pages/plane",
-                        take,
-                        s.cache().capacity() / cfg.page_rows.max(1)
-                    ));
-                    Some(s)
-                }
-                Err(e) => {
-                    line(format!("shared prefix: disabled ({e})"));
-                    None
-                }
-            }
-        } else {
-            None
-        };
-        let prefix_len = template.as_ref().map_or(0, |s| s.len());
-
         let traffic = synthetic_traffic(&cfg, shape);
         metrics::SUBMITTED.add(traffic.len() as u64);
-        let last_arrival = traffic.last().map_or(0, |r| r.arrival);
         // Defensive horizon: admission resolves by the last arrival and
         // deadlines bound every admitted request, so a healthy run always
         // exits well inside this cap. Breaching it marks the leftovers
@@ -511,444 +528,417 @@ impl<'m> Scheduler<'m> {
             .iter()
             .map(|r| (r.prompt.len().div_ceil(cfg.prefill_chunk.max(1)) + r.decode_target) as u64)
             .sum();
-        let horizon = last_arrival + cfg.deadline_steps.min(1_000_000) + work_bound * 4 + 16;
-
-        let mut pending: VecDeque<Request> = traffic.into();
-        let mut waiting: VecDeque<Admitted> = VecDeque::new();
-        let mut active: Vec<Active<'m>> = Vec::new();
-        let mut outcomes: Vec<RequestOutcome> = Vec::new();
-        let mut reserved: u64 = 0;
-        let mut latencies_iters: Vec<u64> = Vec::new();
-        let mut latencies_ns: Vec<u64> = Vec::new();
-
-        let mut admitted = 0u64;
-        let mut rejected_queue = 0u64;
-        let mut rejected_kv = 0u64;
-        let mut completed = 0u64;
-        let mut truncated = 0u64;
-        let mut expired = 0u64;
-        let mut failed = 0u64;
-        let mut unresolved = 0u64;
-        let mut stalled = 0u64;
-        let mut queue_depth_max = 0u64;
-        let mut batch_occupancy_max = 0u64;
-        let mut kv_reserved_peak = 0u64;
-        let mut kv_demoted_pages = 0u64;
-        let mut kv_demoted_bytes = 0u64;
-        let mut iterations = 0u64;
-
-        let finish = |slot: Admitted,
-                      status: TerminalStatus,
-                      t: u64,
-                      reserved: &mut u64,
-                      outcomes: &mut Vec<RequestOutcome>,
-                      latencies_iters: &mut Vec<u64>,
-                      latencies_ns: &mut Vec<u64>| {
-            *reserved -= slot.reserve;
-            latencies_iters.push(t - slot.admitted_at);
-            let ns = slot.clock.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            latencies_ns.push(ns);
-            metrics::REQUEST_LATENCY.record_ns(ns);
-            outcomes.push(RequestOutcome {
-                id: slot.req.id,
-                status,
-                admitted_at: Some(slot.admitted_at),
-                finished_at: t,
-            });
+        let last_arrival = traffic.last().map_or(0, |r| r.arrival);
+        let mut run = Self {
+            model,
+            shape,
+            page_bytes: kv_page_bytes(shape, cfg.kv_mode, cfg.page_rows.max(1)),
+            template: None,
+            run_key: faults::hash_bytes(header.as_bytes()),
+            horizon: last_arrival + cfg.deadline_steps.min(1_000_000) + work_bound * 4 + 16,
+            arena,
+            pending: traffic.into(),
+            waiting: VecDeque::new(),
+            active: Vec::new(),
+            reserved: 0,
+            latencies_ns: Vec::new(),
+            report: ServeReport::default(),
+            cfg,
         };
+        run.line(header);
+        if run.cfg.shared_prefix > 0 {
+            run.template = run.prefill_template();
+        }
+        run
+    }
 
-        let mut t = 0u64;
-        while !(pending.is_empty() && waiting.is_empty() && active.is_empty()) {
-            if t > horizon {
-                unresolved = (pending.len() + waiting.len() + active.len()) as u64;
-                line(format!(
-                    "[iter {t}] safety horizon reached with {unresolved} unresolved"
-                ));
-                break;
-            }
-            iterations += 1;
-            metrics::ITERATIONS.incr();
+    fn line(&mut self, s: String) {
+        self.report.transcript.push_str(&s);
+        self.report.transcript.push('\n');
+    }
 
-            // 0. Boundary drain: advance the demotion clock and requantize
-            // queued cold pages in clock order (off the per-step critical
-            // path), then re-price every fully-fed session's reservation
-            // from the *measured* arena so demotion-freed bytes flow back
-            // into the admission budget before this iteration's arrivals
-            // are priced. The pre-demotion reservation floor keeps one
-            // decode page of headroom plus the per-plane quantization
-            // constants the session carries outside the arena.
-            arena.advance_clock();
-            let drained = drain_demotions(&arena, 0);
-            let session_const = kv_reserve_bytes(shape, cfg.kv_mode, 0);
-            let mut reclaimed = 0u64;
-            for slot in active.iter_mut() {
-                if slot.fed < slot.adm.req.prompt.len() {
-                    continue; // footprint not yet measurable
-                }
-                let floor = slot.session.cache().allocated_bytes() + page_bytes + session_const;
-                if slot.adm.reserve > floor {
-                    reclaimed += slot.adm.reserve - floor;
-                    slot.adm.reserve = floor;
-                }
-            }
-            reserved -= reserved.min(reclaimed);
-            if drained.demoted > 0 {
-                kv_demoted_pages += drained.demoted as u64;
-                kv_demoted_bytes += drained.freed_bytes;
-                line(format!(
-                    "[iter {t}] kv drain: {} pages demoted, {} bytes freed, {} bytes reclaimed",
-                    drained.demoted, drained.freed_bytes, reclaimed
-                ));
-            }
+    /// Requests not yet terminal: pending, waiting and active.
+    fn unresolved(&self) -> usize {
+        self.pending.len() + self.waiting.len() + self.active.len()
+    }
 
-            // 1. Arrivals → admission control. A request is admitted or
-            // rejected the iteration it arrives; rejection is typed and
-            // immediate, never a silent drop.
-            while pending.front().is_some_and(|r| r.arrival <= t) {
-                let req = pending.pop_front().expect("checked non-empty");
-                // Page-granular pricing: prompt pages + one decode page,
-                // not the worst-case prompt + decode-target footprint.
-                // Later decode pages are reserved as the rollout grows.
-                let need = kv_admit_bytes(
-                    shape,
-                    cfg.kv_mode,
-                    cfg.page_rows,
-                    prefix_len,
-                    req.prompt.len(),
-                );
-                let err = if waiting.len() >= cfg.queue_cap {
-                    Some(AdmissionError::QueueFull { cap: cfg.queue_cap })
-                } else if need > cfg.kv_budget_bytes - cfg.kv_budget_bytes.min(reserved) {
-                    Some(AdmissionError::KvBudgetExceeded {
-                        needed: need,
-                        available: cfg.kv_budget_bytes - cfg.kv_budget_bytes.min(reserved),
-                        budget: cfg.kv_budget_bytes,
-                    })
-                } else {
-                    None
-                };
-                match err {
-                    Some(e) => {
-                        match e {
-                            AdmissionError::QueueFull { .. } => {
-                                rejected_queue += 1;
-                                metrics::REJECTED_QUEUE_FULL.incr();
-                            }
-                            AdmissionError::KvBudgetExceeded { .. } => {
-                                rejected_kv += 1;
-                                metrics::REJECTED_KV_BUDGET.incr();
-                            }
-                        }
-                        line(format!("[iter {t}] reject r{}: {e}", req.id));
-                        outcomes.push(RequestOutcome {
-                            id: req.id,
-                            status: TerminalStatus::Rejected(e),
-                            admitted_at: None,
-                            finished_at: t,
-                        });
-                    }
-                    None => {
-                        admitted += 1;
-                        metrics::ADMITTED.incr();
-                        reserved += need;
-                        kv_reserved_peak = kv_reserved_peak.max(reserved);
-                        metrics::KV_RESERVED_PEAK_BYTES.observe(reserved);
-                        line(format!(
-                            "[iter {t}] admit r{} (prompt {}, decode {}, kv {})",
-                            req.id,
-                            req.prompt.len(),
-                            req.decode_target,
-                            need
-                        ));
-                        waiting.push_back(Admitted {
-                            req,
-                            admitted_at: t,
-                            reserve: need,
-                            clock: Instant::now(),
-                        });
-                    }
-                }
-            }
-            queue_depth_max = queue_depth_max.max(waiting.len() as u64);
-            metrics::QUEUE_DEPTH_MAX.observe(waiting.len() as u64);
+    fn observe_reserved(&mut self) {
+        self.report.kv_reserved_peak = self.report.kv_reserved_peak.max(self.reserved);
+        metrics::KV_RESERVED_PEAK_BYTES.observe(self.reserved);
+    }
 
-            // 2. Join: fill free batch slots from the queue — sessions
-            // join mid-flight, the batch never drains first.
-            while active.len() < cfg.max_batch {
-                let Some(adm) = waiting.pop_front() else {
-                    break;
-                };
-                line(format!("[iter {t}] start r{}", adm.req.id));
-                let session = match &template {
-                    Some(tpl) => tpl.fork(),
-                    None => DecodeSession::with_arena(self.model, cfg.kv_mode, &arena),
-                };
-                active.push(Active {
-                    adm,
-                    session,
-                    fed: 0,
-                    pending: None,
-                    emitted: 0,
-                });
+    /// Prefills the seeded system prompt into the template session every
+    /// request forks, or records why sharing is off for this run.
+    fn prefill_template(&mut self) -> Option<DecodeSession<'m>> {
+        let take = self
+            .cfg
+            .shared_prefix
+            .min(self.shape.max_seq.saturating_sub(2))
+            .max(1);
+        let mut rng = DetRng::new(self.cfg.arrival_seed ^ 0x5eed_caf3);
+        let prefix: Vec<usize> = (0..take).map(|_| rng.below(self.shape.vocab)).collect();
+        let mut s = DecodeSession::with_arena(self.model, self.cfg.kv_mode, &self.arena);
+        match s.try_prefill(&prefix) {
+            Ok(_) => {
+                let pages = s.cache().capacity() / self.cfg.page_rows.max(1);
+                self.line(format!("shared prefix: {take} tokens, {pages} pages/plane"));
+                Some(s)
             }
-            batch_occupancy_max = batch_occupancy_max.max(active.len() as u64);
-            metrics::BATCH_OCCUPANCY_MAX.observe(active.len() as u64);
-
-            // 3. Watchdog: expire deadlines, waiting and active alike.
-            let mut i = 0;
-            while i < waiting.len() {
-                if t - waiting[i].admitted_at >= cfg.deadline_steps {
-                    let slot = waiting.remove(i).expect("index in range");
-                    expired += 1;
-                    metrics::EXPIRED.incr();
-                    line(format!(
-                        "[iter {t}] r{} deadline exceeded after 0 tokens",
-                        slot.req.id
-                    ));
-                    finish(
-                        slot,
-                        TerminalStatus::DeadlineExceeded { decoded: 0 },
-                        t,
-                        &mut reserved,
-                        &mut outcomes,
-                        &mut latencies_iters,
-                        &mut latencies_ns,
-                    );
-                } else {
-                    i += 1;
-                }
+            Err(e) => {
+                self.line(format!("shared prefix: disabled ({e})"));
+                None
             }
-            let mut i = 0;
-            while i < active.len() {
-                if t - active[i].adm.admitted_at >= cfg.deadline_steps {
-                    let slot = active.remove(i);
-                    expired += 1;
-                    metrics::EXPIRED.incr();
-                    line(format!(
-                        "[iter {t}] r{} deadline exceeded after {} tokens",
-                        slot.adm.req.id, slot.emitted
-                    ));
-                    finish(
-                        slot.adm,
-                        TerminalStatus::DeadlineExceeded {
-                            decoded: slot.emitted,
-                        },
-                        t,
-                        &mut reserved,
-                        &mut outcomes,
-                        &mut latencies_iters,
-                        &mut latencies_ns,
-                    );
-                } else {
-                    i += 1;
-                }
+        }
+    }
+
+    /// Boundary drain: advances the demotion clock and requantizes queued
+    /// cold pages in clock order (off the per-step critical path), then
+    /// re-prices every fully-fed session's reservation from the *measured*
+    /// arena so demotion-freed bytes flow back into the admission budget
+    /// before this iteration's arrivals are priced. The pre-demotion
+    /// reservation floor keeps one decode page of headroom plus the
+    /// per-plane quantization constants the session carries outside the
+    /// arena.
+    fn drain_and_reprice(&mut self, t: u64) {
+        self.arena.advance_clock();
+        let drained = drain_demotions(&self.arena, 0);
+        let session_const = kv_reserve_bytes(self.shape, self.cfg.kv_mode, 0);
+        let mut reclaimed = 0u64;
+        for slot in &mut self.active {
+            if slot.fed < slot.adm.req.prompt.len() {
+                continue; // footprint not yet measurable
             }
+            let floor = slot.session.cache().allocated_bytes() + self.page_bytes + session_const;
+            if slot.adm.reserve > floor {
+                reclaimed += slot.adm.reserve - floor;
+                slot.adm.reserve = floor;
+            }
+        }
+        self.reserved -= self.reserved.min(reclaimed);
+        if drained.demoted > 0 {
+            self.report.kv_demoted_pages += drained.demoted as u64;
+            self.report.kv_demoted_bytes += drained.freed_bytes;
+            self.line(format!(
+                "[iter {t}] kv drain: {} pages demoted, {} bytes freed, {} bytes reclaimed",
+                drained.demoted, drained.freed_bytes, reclaimed
+            ));
+        }
+    }
 
-            let plan = faults::plan();
-
-            // 4. Injected scheduler stall: drop this iteration's work.
-            // Deadlines (absolute time) keep ticking, so a stalled server
-            // degrades to slower service, never to a hang.
-            if !active.is_empty() && plan.as_ref().is_some_and(|p| p.sched_stall(run_key, t)) {
-                stalled += 1;
-                metrics::STALLED_ITERATIONS.incr();
-                line(format!("[iter {t}] sched stall (injected)"));
-                t += 1;
+    /// Arrivals → admission control. A request is admitted or rejected the
+    /// iteration it arrives; rejection is typed and immediate, never a
+    /// silent drop.
+    fn admit(&mut self, t: u64) {
+        let prefix_len = self.template.as_ref().map_or(0, DecodeSession::len);
+        while let Some(req) = self.pending.pop_front_if(|r| r.arrival <= t) {
+            // Page-granular pricing: prompt pages + one decode page, not
+            // the worst-case prompt + decode-target footprint. Later
+            // decode pages are reserved as the rollout grows.
+            let cfg = &self.cfg;
+            let need = kv_admit_bytes(
+                self.shape,
+                cfg.kv_mode,
+                cfg.page_rows,
+                prefix_len,
+                req.prompt.len(),
+            );
+            let available = cfg.kv_budget_bytes - cfg.kv_budget_bytes.min(self.reserved);
+            let refusal = if self.waiting.len() >= cfg.queue_cap {
+                Some(AdmissionError::QueueFull { cap: cfg.queue_cap })
+            } else {
+                (need > available).then_some(AdmissionError::KvBudgetExceeded {
+                    needed: need,
+                    available,
+                    budget: cfg.kv_budget_bytes,
+                })
+            };
+            if let Some(e) = refusal {
+                self.retire(t, req.id, None, TerminalStatus::Rejected(e), "");
                 continue;
             }
+            metrics::ADMITTED.incr();
+            self.reserved += need;
+            self.observe_reserved();
+            self.line(format!(
+                "[iter {t}] admit r{} (prompt {}, decode {}, kv {need})",
+                req.id,
+                req.prompt.len(),
+                req.decode_target,
+            ));
+            self.waiting.push_back(Admitted {
+                req,
+                admitted_at: t,
+                reserve: need,
+                clock: Instant::now(),
+            });
+        }
+        self.report.queue_depth_max = self.report.queue_depth_max.max(self.waiting.len() as u64);
+        metrics::QUEUE_DEPTH_MAX.observe(self.waiting.len() as u64);
+    }
 
-            // 5. Work: advance every active session one quantum — a
-            // prefill chunk or one decode step. Each item is isolated
-            // under catch_unwind: a panic (injected pool fault inside the
-            // session's GEMMs, or the serve-level consult below) retires
-            // that request alone. AssertUnwindSafe is sound because a
-            // slot that panics mid-step is retired immediately — its
-            // possibly-inconsistent session is dropped, never re-stepped.
-            let mut idx = 0;
-            while idx < active.len() {
-                let slot = &mut active[idx];
-                // Page-growth check: a decode step whose append would open
-                // a fresh page must grow the reservation first. The grant
-                // is re-synced to the session's *measured* allocation, so
-                // bytes freed by arena demotion flow back into the budget
-                // here. A growth the budget cannot cover completes the
-                // request with the tokens it has — truncation, not
-                // failure.
-                let needs_step = slot.fed >= slot.adm.req.prompt.len()
-                    && slot.pending.is_some()
-                    && slot.emitted + 1 < slot.adm.req.decode_target;
-                let opens_page = !slot.session.is_empty()
-                    && slot.session.len().is_multiple_of(cfg.page_rows.max(1))
-                    && slot.session.len() < shape.max_seq;
-                if needs_step && opens_page {
-                    let actual = slot.session.cache().allocated_bytes();
-                    if actual + page_bytes > slot.adm.reserve {
-                        let extra = actual + page_bytes - slot.adm.reserve;
-                        if reserved + extra <= cfg.kv_budget_bytes {
-                            reserved += extra;
-                            slot.adm.reserve += extra;
-                            kv_reserved_peak = kv_reserved_peak.max(reserved);
-                            metrics::KV_RESERVED_PEAK_BYTES.observe(reserved);
-                        } else {
-                            let slot = active.remove(idx);
-                            completed += 1;
-                            truncated += 1;
-                            metrics::COMPLETED.incr();
-                            line(format!(
-                                "[iter {t}] r{} done: {} tokens in {} iters \
-                                 (truncated at kv budget)",
-                                slot.adm.req.id,
-                                slot.emitted,
-                                t - slot.adm.admitted_at
-                            ));
-                            finish(
-                                slot.adm,
-                                TerminalStatus::Done {
-                                    tokens: slot.emitted,
-                                    truncated: true,
-                                },
-                                t,
-                                &mut reserved,
-                                &mut outcomes,
-                                &mut latencies_iters,
-                                &mut latencies_ns,
-                            );
-                            continue;
-                        }
-                    }
-                }
-                let slot = &mut active[idx];
-                let injected = plan
-                    .as_ref()
-                    .is_some_and(|p| p.pool_panic((run_key ^ t) as usize, slot.adm.req.id));
-                let chunk = cfg.prefill_chunk.max(1);
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    if injected {
-                        panic!("injected pool task fault (serve)");
-                    }
-                    advance(slot, chunk, vocab)
-                }));
-                let progress = match result {
-                    Ok(p) => p,
-                    Err(payload) => Progress::Terminal(TerminalStatus::Failed {
-                        reason: panic_reason(payload.as_ref()),
-                    }),
+    /// Fills free batch slots from the queue: sessions join mid-flight,
+    /// the batch never drains first.
+    fn join(&mut self, t: u64) {
+        while self.active.len() < self.cfg.max_batch {
+            let Some(adm) = self.waiting.pop_front() else {
+                break;
+            };
+            self.line(format!("[iter {t}] start r{}", adm.req.id));
+            let session = match &self.template {
+                Some(tpl) => tpl.fork(),
+                None => DecodeSession::with_arena(self.model, self.cfg.kv_mode, &self.arena),
+            };
+            self.active.push(Active {
+                adm,
+                session,
+                fed: 0,
+                pending: None,
+                emitted: 0,
+            });
+        }
+        let r = &mut self.report;
+        r.batch_occupancy_max = r.batch_occupancy_max.max(self.active.len() as u64);
+        metrics::BATCH_OCCUPANCY_MAX.observe(self.active.len() as u64);
+    }
+
+    /// Watchdog: expires deadlines, waiting and active alike.
+    fn expire(&mut self, t: u64) {
+        let deadline = self.cfg.deadline_steps;
+        let (late, waiting): (VecDeque<Admitted>, _) = std::mem::take(&mut self.waiting)
+            .into_iter()
+            .partition(|adm| t - adm.admitted_at >= deadline);
+        self.waiting = waiting;
+        for adm in late {
+            let status = TerminalStatus::DeadlineExceeded { decoded: 0 };
+            self.retire(t, adm.req.id, Some(adm), status, "");
+        }
+        let late: Vec<Active<'m>> = self
+            .active
+            .extract_if(.., |slot| t - slot.adm.admitted_at >= deadline)
+            .collect();
+        for slot in late {
+            let status = TerminalStatus::DeadlineExceeded {
+                decoded: slot.emitted,
+            };
+            self.retire(t, slot.adm.req.id, Some(slot.adm), status, "");
+        }
+    }
+
+    /// Advances every active session one quantum — a prefill chunk or one
+    /// decode step — in slot order: a slot that retires releases its
+    /// budget before the next slot's page-growth check, and the capped
+    /// arena's in-step demote-and-retry depends on that order.
+    ///
+    /// Each item runs under catch_unwind: a panic (injected pool fault
+    /// inside the session's GEMMs, or the serve-level consult below)
+    /// retires that request alone. AssertUnwindSafe is sound because a
+    /// slot that panics mid-step is retired immediately — its
+    /// possibly-inconsistent session is dropped, never re-stepped.
+    fn work(&mut self, t: u64, plan: Option<&faults::FaultPlan>) {
+        let chunk = self.cfg.prefill_chunk.max(1);
+        let mut idx = 0;
+        while idx < self.active.len() {
+            if !self.grow_reservation(idx) {
+                let slot = self.active.remove(idx);
+                let status = TerminalStatus::Done {
+                    tokens: slot.emitted,
+                    truncated: true,
                 };
-                match progress {
-                    Progress::InFlight => idx += 1,
-                    Progress::Terminal(status) => {
-                        let slot = active.remove(idx);
-                        match &status {
-                            TerminalStatus::Done {
-                                tokens,
-                                truncated: trunc,
-                            } => {
-                                completed += 1;
-                                metrics::COMPLETED.incr();
-                                if *trunc {
-                                    truncated += 1;
-                                }
-                                line(format!(
-                                    "[iter {t}] r{} done: {} tokens in {} iters{}",
-                                    slot.adm.req.id,
-                                    tokens,
-                                    t - slot.adm.admitted_at,
-                                    if *trunc { " (truncated at window)" } else { "" }
-                                ));
-                            }
-                            TerminalStatus::Failed { reason } => {
-                                failed += 1;
-                                metrics::FAILED.incr();
-                                line(format!("[iter {t}] r{} failed: {reason}", slot.adm.req.id));
-                            }
-                            _ => unreachable!("work phase only completes or fails"),
-                        }
-                        finish(
-                            slot.adm,
-                            status,
-                            t,
-                            &mut reserved,
-                            &mut outcomes,
-                            &mut latencies_iters,
-                            &mut latencies_ns,
-                        );
-                    }
+                self.retire(t, slot.adm.req.id, Some(slot.adm), status, "kv budget");
+                continue;
+            }
+            let slot = &mut self.active[idx];
+            let injected =
+                plan.is_some_and(|p| p.pool_panic((self.run_key ^ t) as usize, slot.adm.req.id));
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                if injected {
+                    panic!("injected pool task fault (serve)");
+                }
+                advance(slot, chunk)
+            }));
+            let ended = result.unwrap_or_else(|payload| {
+                Some(TerminalStatus::Failed {
+                    reason: panic_reason(payload.as_ref()),
+                })
+            });
+            match ended {
+                None => idx += 1,
+                Some(status) => {
+                    let slot = self.active.remove(idx);
+                    self.retire(t, slot.adm.req.id, Some(slot.adm), status, "window");
                 }
             }
-            t += 1;
         }
+    }
 
-        // Deterministic summary. Latency percentiles in *iterations* are
-        // logical time, so they belong in the transcript; wall-clock
-        // percentiles go to the metrics bank only.
+    /// Page-growth check before slot `idx` works: a decode step whose
+    /// append would open a fresh page must grow the reservation first. The
+    /// grant is re-synced to the session's *measured* allocation, so bytes
+    /// freed by arena demotion flow back into the budget here. Returns
+    /// false when the budget cannot cover the growth: the request then
+    /// completes with the tokens it has — truncation, not failure.
+    fn grow_reservation(&mut self, idx: usize) -> bool {
+        let slot = &mut self.active[idx];
+        let needs_step = slot.fed >= slot.adm.req.prompt.len()
+            && slot.pending.is_some()
+            && slot.emitted + 1 < slot.adm.req.decode_target;
+        let len = slot.session.len();
+        let opens_page =
+            len > 0 && len.is_multiple_of(self.cfg.page_rows.max(1)) && len < self.shape.max_seq;
+        if !(needs_step && opens_page) {
+            return true;
+        }
+        let actual = slot.session.cache().allocated_bytes();
+        if actual + self.page_bytes <= slot.adm.reserve {
+            return true;
+        }
+        let extra = actual + self.page_bytes - slot.adm.reserve;
+        if self.reserved + extra > self.cfg.kv_budget_bytes {
+            return false;
+        }
+        slot.adm.reserve += extra;
+        self.reserved += extra;
+        self.observe_reserved();
+        true
+    }
+
+    /// Records request `id`'s terminal `status` at iteration `t`: its
+    /// outcome, transcript line and metric, and — for an admitted request
+    /// (`adm`) — its latency and the release of its reservation. A
+    /// truncated `Done` names the `limit` it hit; other statuses ignore it.
+    fn retire(
+        &mut self,
+        t: u64,
+        id: usize,
+        adm: Option<Admitted>,
+        status: TerminalStatus,
+        limit: &str,
+    ) {
+        let admitted_at = adm.map(|adm| {
+            self.reserved -= adm.reserve;
+            let ns = adm.clock.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            self.latencies_ns.push(ns);
+            metrics::REQUEST_LATENCY.record_ns(ns);
+            adm.admitted_at
+        });
+        let event = match &status {
+            TerminalStatus::Rejected(e) => {
+                match e {
+                    AdmissionError::QueueFull { .. } => metrics::REJECTED_QUEUE_FULL.incr(),
+                    AdmissionError::KvBudgetExceeded { .. } => metrics::REJECTED_KV_BUDGET.incr(),
+                }
+                format!("reject r{id}: {e}")
+            }
+            TerminalStatus::DeadlineExceeded { decoded } => {
+                metrics::EXPIRED.incr();
+                format!("r{id} deadline exceeded after {decoded} tokens")
+            }
+            TerminalStatus::Done { tokens, truncated } => {
+                metrics::COMPLETED.incr();
+                let iters = t - admitted_at.unwrap_or(t);
+                let cut = if *truncated {
+                    format!(" (truncated at {limit})")
+                } else {
+                    String::new()
+                };
+                format!("r{id} done: {tokens} tokens in {iters} iters{cut}")
+            }
+            TerminalStatus::Failed { reason } => {
+                metrics::FAILED.incr();
+                format!("r{id} failed: {reason}")
+            }
+        };
+        self.line(format!("[iter {t}] {event}"));
+        self.report.outcomes.push(RequestOutcome {
+            id,
+            status,
+            admitted_at,
+            finished_at: t,
+        });
+    }
+
+    /// Completes the report. Counts come from the outcomes plus the
+    /// unresolved leftovers. Latency percentiles in *iterations* are
+    /// logical time, so they belong in the transcript; wall-clock
+    /// percentiles go to the metrics bank only.
+    fn finish(mut self, run_start: Instant) -> ServeReport {
+        let unresolved = self.unresolved() as u64;
+        let mut r = std::mem::take(&mut self.report);
+        let mut latencies_iters = Vec::new();
+        r.admitted = (self.waiting.len() + self.active.len()) as u64;
+        for o in &r.outcomes {
+            if let Some(at) = o.admitted_at {
+                r.admitted += 1;
+                latencies_iters.push(o.finished_at - at);
+            }
+            match &o.status {
+                TerminalStatus::Rejected(AdmissionError::QueueFull { .. }) => r.rejected_queue += 1,
+                TerminalStatus::Rejected(AdmissionError::KvBudgetExceeded { .. }) => {
+                    r.rejected_kv += 1
+                }
+                TerminalStatus::Done { tokens, truncated } => {
+                    r.completed += 1;
+                    r.truncated += u64::from(*truncated);
+                    r.decode_tokens += *tokens as u64;
+                }
+                TerminalStatus::DeadlineExceeded { decoded } => {
+                    r.expired += 1;
+                    r.decode_tokens += *decoded as u64;
+                }
+                TerminalStatus::Failed { .. } => r.failed += 1,
+            }
+        }
+        r.unresolved = unresolved;
         latencies_iters.sort_unstable();
-        latencies_ns.sort_unstable();
-        let p50_iters = percentile(&latencies_iters, 50);
-        let p99_iters = percentile(&latencies_iters, 99);
-        metrics::LATENCY_ITERS_P50.set(p50_iters);
-        metrics::LATENCY_ITERS_P99.set(p99_iters);
-        metrics::LATENCY_P50_NS.set(percentile(&latencies_ns, 50));
-        metrics::LATENCY_P99_NS.set(percentile(&latencies_ns, 99));
+        self.latencies_ns.sort_unstable();
+        r.latency_iters_p50 = percentile(&latencies_iters, 50);
+        r.latency_iters_p99 = percentile(&latencies_iters, 99);
+        metrics::LATENCY_ITERS_P50.set(r.latency_iters_p50);
+        metrics::LATENCY_ITERS_P99.set(r.latency_iters_p99);
+        metrics::LATENCY_P50_NS.set(percentile(&self.latencies_ns, 50));
+        metrics::LATENCY_P99_NS.set(percentile(&self.latencies_ns, 99));
         let elapsed_ns = run_start.elapsed().as_nanos().max(1);
-        let total_decoded: u64 = outcomes
-            .iter()
-            .map(|o| match &o.status {
-                TerminalStatus::Done { tokens, .. } => *tokens as u64,
-                TerminalStatus::DeadlineExceeded { decoded } => *decoded as u64,
-                _ => 0,
-            })
-            .sum();
-        let decode_tokens = total_decoded;
         metrics::TOKENS_PER_SEC_MILLI.set(
-            ((total_decoded as u128 * 1_000_000_000_000) / elapsed_ns).min(u64::MAX as u128) as u64,
+            ((r.decode_tokens as u128 * 1_000_000_000_000) / elapsed_ns).min(u64::MAX as u128)
+                as u64,
         );
 
-        outcomes.sort_by_key(|o| o.id);
-        line(format!(
-            "summary: submitted {} admitted {admitted} rejected {} (queue {rejected_queue}, \
-             kv {rejected_kv}) done {completed} (truncated {truncated}) expired {expired} \
-             failed {failed}",
-            cfg.requests,
-            rejected_queue + rejected_kv,
-        ));
-        line(format!(
-            "latency iters p50 {p50_iters} p99 {p99_iters}, max queue depth {queue_depth_max}, \
-             max batch {batch_occupancy_max}, kv reserved peak {kv_reserved_peak}, \
-             kv drain demoted {kv_demoted_pages} pages ({kv_demoted_bytes} bytes), \
-             iterations {iterations} (stalled {stalled})"
-        ));
-        let report = ServeReport {
-            transcript: String::new(),
-            outcomes,
-            iterations,
-            stalled_iterations: stalled,
-            admitted,
-            rejected_queue,
-            rejected_kv,
-            completed,
-            truncated,
-            expired,
-            failed,
-            unresolved,
-            decode_tokens,
-            queue_depth_max,
-            batch_occupancy_max,
-            kv_reserved_peak,
-            kv_demoted_pages,
-            kv_demoted_bytes,
-            latency_iters_p50: p50_iters,
-            latency_iters_p99: p99_iters,
-        };
-        line(format!("verdict: {}", report.verdict()));
-        ServeReport {
-            transcript,
-            ..report
-        }
+        r.outcomes.sort_by_key(|o| o.id);
+        let summary = format!(
+            "summary: submitted {} admitted {} rejected {} (queue {}, kv {}) done {} \
+             (truncated {}) expired {} failed {}\n\
+             latency iters p50 {} p99 {}, max queue depth {}, max batch {}, \
+             kv reserved peak {}, kv drain demoted {} pages ({} bytes), \
+             iterations {} (stalled {})\n\
+             verdict: {}\n",
+            self.cfg.requests,
+            r.admitted,
+            r.rejected_queue + r.rejected_kv,
+            r.rejected_queue,
+            r.rejected_kv,
+            r.completed,
+            r.truncated,
+            r.expired,
+            r.failed,
+            r.latency_iters_p50,
+            r.latency_iters_p99,
+            r.queue_depth_max,
+            r.batch_occupancy_max,
+            r.kv_reserved_peak,
+            r.kv_demoted_pages,
+            r.kv_demoted_bytes,
+            r.iterations,
+            r.stalled_iterations,
+            r.verdict(),
+        );
+        r.transcript.push_str(&summary);
+        r
     }
 }
 
-/// Advances one active request by one scheduling quantum.
-fn advance(slot: &mut Active<'_>, chunk: usize, vocab: usize) -> Progress {
+/// Advances one active request by one scheduling quantum, returning its
+/// terminal status if the quantum ended it.
+fn advance(slot: &mut Active<'_>, chunk: usize) -> Option<TerminalStatus> {
     let prompt_len = slot.adm.req.prompt.len();
     if slot.fed < prompt_len {
         // Chunked prefill: up to `chunk` prompt tokens this iteration. A
@@ -963,7 +953,7 @@ fn advance(slot: &mut Active<'_>, chunk: usize, vocab: usize) -> Progress {
                 match slot.session.step(tok) {
                     Ok(l) => logits = Some(l),
                     Err(e) => {
-                        return Progress::Terminal(TerminalStatus::Failed {
+                        return Some(TerminalStatus::Failed {
                             reason: format!("prompt ingestion failed: {e}"),
                         })
                     }
@@ -974,10 +964,9 @@ fn advance(slot: &mut Active<'_>, chunk: usize, vocab: usize) -> Progress {
         slot.fed += take;
         metrics::PREFILL_CHUNK_TOKENS.add(take as u64);
         if slot.fed == prompt_len {
-            let row = logits.rows() - 1;
-            slot.pending = Some(greedy_token(&logits, row, slot.session.len(), vocab));
+            slot.pending = Some(slot.session.greedy_next(&logits));
         }
-        return Progress::InFlight;
+        return None;
     }
 
     // Decode: emit the pending token, then (if more are needed) step the
@@ -987,24 +976,24 @@ fn advance(slot: &mut Active<'_>, chunk: usize, vocab: usize) -> Progress {
     slot.emitted += 1;
     metrics::DECODE_TOKENS.incr();
     if slot.emitted >= slot.adm.req.decode_target {
-        return Progress::Terminal(TerminalStatus::Done {
+        return Some(TerminalStatus::Done {
             tokens: slot.emitted,
             truncated: false,
         });
     }
-    match slot.session.step(tok) {
-        Ok(logits) => {
-            slot.pending = Some(greedy_token(&logits, 0, slot.session.len(), vocab));
-            Progress::InFlight
+    match slot.session.step_greedy(tok) {
+        Ok(next) => {
+            slot.pending = Some(next);
+            None
         }
         Err(StepError::SequenceFull { .. }) => {
             engine_metrics::DECODE_TRUNCATED.incr();
-            Progress::Terminal(TerminalStatus::Done {
+            Some(TerminalStatus::Done {
                 tokens: slot.emitted,
                 truncated: true,
             })
         }
-        Err(e) => Progress::Terminal(TerminalStatus::Failed {
+        Err(e) => Some(TerminalStatus::Failed {
             reason: format!("step failed: {e}"),
         }),
     }
