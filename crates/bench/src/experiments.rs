@@ -7,9 +7,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use tender::model::calibration::{token_batches, CorpusKind};
-use tender::model::engine::{
-    drain_demotions, greedy_token, BatchEngine, DecodeSession, KvCacheMode, ModelRef,
-};
+use tender::model::engine::{drain_demotions, BatchEngine, DecodeSession, KvCacheMode, ModelRef};
 use tender::model::eval::{perplexity, EvalSet};
 use tender::model::glue::GlueTask;
 use tender::model::zeroshot;
@@ -1065,7 +1063,7 @@ pub fn kv_page() -> Vec<Table> {
             bit_exact = false;
             break;
         }
-        next = greedy_token(&a, 0, fork.len(), shape.vocab);
+        next = fork.greedy_next(&a);
     }
 
     let mut t1 = Table::new(

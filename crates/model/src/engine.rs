@@ -1385,9 +1385,10 @@ impl Error for StepError {}
 ///
 /// Per-session failures (a single slot's [`StepError`]) are *not* batch
 /// errors — [`BatchEngine::try_step_all`] reports those per slot so one
-/// full session cannot discard every other session's logits, and the
-/// greedy rollouts truncate instead. `BatchError` is the batch-level case:
-/// a structurally malformed call (argument length ≠ session count).
+/// full session cannot discard every other session's logits. `BatchError`
+/// covers the two batch-level cases: a structurally malformed call
+/// (argument length ≠ session count) and, for the legacy collapsed
+/// [`BatchEngine::step_all`] signature, the lowest-indexed slot's error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchError {
     /// The caller passed one argument per session but the counts differ.
@@ -1397,6 +1398,8 @@ pub enum BatchError {
         /// Arguments actually supplied.
         got: usize,
     },
+    /// A per-session step failed (collapsed form; see [`BatchEngine::step_all`]).
+    Step(StepError),
 }
 
 impl fmt::Display for BatchError {
@@ -1405,11 +1408,18 @@ impl fmt::Display for BatchError {
             Self::LengthMismatch { expected, got } => {
                 write!(f, "batch call expects {expected} arguments, got {got}")
             }
+            Self::Step(e) => write!(f, "batch step failed: {e}"),
         }
     }
 }
 
 impl Error for BatchError {}
+
+impl From<StepError> for BatchError {
+    fn from(e: StepError) -> Self {
+        Self::Step(e)
+    }
+}
 
 /// One in-flight generation: a model reference plus its paged KV cache.
 ///
@@ -1592,12 +1602,8 @@ impl<'m> DecodeSession<'m> {
     /// The greedy choice ([`greedy_token`]) from the last row of `logits`
     /// this session just produced — a prefill's or a step's.
     pub fn greedy_next(&self, logits: &Matrix) -> usize {
-        greedy_token(
-            logits,
-            logits.rows() - 1,
-            self.len(),
-            self.model.shape().vocab,
-        )
+        let last = logits.rows() - 1;
+        greedy_token(logits, last, self.len(), self.model.shape().vocab)
     }
 
     /// Cached positions so far (prompt + generated).
@@ -1725,12 +1731,8 @@ impl<'m> BatchEngine<'m> {
         &mut self,
         f: impl Fn(usize, &mut DecodeSession<'m>) -> R + Sync,
     ) -> Vec<R> {
-        let mut cells: Vec<(&mut DecodeSession<'m>, Option<R>)> =
-            self.sessions.iter_mut().map(|s| (s, None)).collect();
-        pool::par_chunks_mut(&mut cells, 1, |i, cell| {
-            let (session, out) = &mut cell[0];
-            *out = Some(f(i, session));
-        });
+        let mut cells: Vec<_> = self.sessions.iter_mut().map(|s| (s, None)).collect();
+        pool::par_chunks_mut(&mut cells, 1, |i, cell| cell[0].1 = Some(f(i, cell[0].0)));
         cells
             .into_iter()
             .map(|(_, r)| r.expect("every session ran"))
@@ -1767,6 +1769,22 @@ impl<'m> BatchEngine<'m> {
     ) -> Result<Vec<Result<Matrix, StepError>>, BatchError> {
         self.check_len(tokens.len())?;
         Ok(self.par_each(|i, s| s.step(tokens[i])))
+    }
+
+    /// Collapsed form of [`BatchEngine::try_step_all`]: all logits in
+    /// session order, or the lowest-indexed failing session's error.
+    ///
+    /// # Errors
+    ///
+    /// [`BatchError::LengthMismatch`] for a malformed call, or
+    /// [`BatchError::Step`] carrying the lowest-indexed slot's
+    /// [`StepError`]. Callers that need the surviving sessions' logits
+    /// should use [`BatchEngine::try_step_all`].
+    pub fn step_all(&mut self, tokens: &[usize]) -> Result<Vec<Matrix>, BatchError> {
+        self.try_step_all(tokens)?
+            .into_iter()
+            .map(|r| r.map_err(BatchError::from))
+            .collect()
     }
 
     /// Prefills every session with its prompt, then greedily decodes up to
@@ -1852,24 +1870,10 @@ impl<'m> BatchEngine<'m> {
     /// failed to feed, and is counted in `metrics::engine::DECODE_TRUNCATED`
     /// — one over-long rollout cannot poison the batch.
     ///
-    /// Rollouts competing for one capped `arena` are only deterministic if
-    /// the cap is never contended *inside* the parallel step, so each
-    /// iteration first runs a fixed sequence at the boundary:
-    ///
-    /// 1. advance the arena clock (new demotion epoch);
-    /// 2. price the upcoming step exactly — [`KvCache::next_append_alloc_bytes`]
-    ///    per live session (page opens and shared-tail CoW are the only
-    ///    allocations a single append can make);
-    /// 3. drain the demotion queue ([`drain_demotions`]) until the
-    ///    watermark is respected *and* the whole step fits;
-    /// 4. if it still does not fit, demote each session's own pages in
-    ///    session order, truncating (in session order) any session whose
-    ///    need cannot be covered, as a failed step would.
-    ///
-    /// Every decision in 1–4 depends only on session order, queue keys,
-    /// and byte arithmetic, so transcripts are byte-identical at any
-    /// thread count and under any GEMM backend. Private or uncapped arenas
-    /// (`arena` is `None`) cannot starve each other and skip 1–4.
+    /// With one capped shared `arena`, each iteration first runs
+    /// [`BatchEngine::reserve_step`] so the parallel step never contends
+    /// the cap. Private or uncapped arenas (`arena` is `None`) cannot
+    /// starve each other and skip it.
     fn lockstep_decode(
         &mut self,
         arena: Option<&KvArena>,
@@ -1897,8 +1901,23 @@ impl<'m> BatchEngine<'m> {
         outs
     }
 
-    /// Steps 1–4 of [`BatchEngine::lockstep_decode`] on one capped arena:
-    /// afterwards every session still in `next` has its append covered.
+    /// The boundary sequence before each lockstep iteration on one capped
+    /// arena; afterwards every session still in `next` has its append
+    /// covered:
+    ///
+    /// 1. advance the arena clock (new demotion epoch);
+    /// 2. price the upcoming step exactly — [`KvCache::next_append_alloc_bytes`]
+    ///    per live session (page opens and shared-tail CoW are the only
+    ///    allocations a single append can make);
+    /// 3. drain the demotion queue ([`drain_demotions`]) until the
+    ///    watermark is respected *and* the whole step fits;
+    /// 4. if it still does not fit, demote each session's own pages in
+    ///    session order, truncating (in session order) any session whose
+    ///    need cannot be covered, as a failed step would.
+    ///
+    /// Every decision depends only on session order, queue keys, and byte
+    /// arithmetic, so transcripts are byte-identical at any thread count
+    /// and under any GEMM backend.
     fn reserve_step(&self, arena: &KvArena, next: &mut [Option<usize>], outs: &mut [Vec<usize>]) {
         arena.advance_clock();
         let needs: Vec<u64> = (self.sessions.iter().zip(next.iter()))
@@ -1911,16 +1930,14 @@ impl<'m> BatchEngine<'m> {
         let mut committed = 0u64;
         for (i, need) in needs.into_iter().enumerate() {
             let Some(tok) = next[i] else { continue };
-            while committed + need > arena.headroom_bytes() {
-                if !self.sessions[i].cache.demote_one() {
-                    outs[i].push(tok);
-                    next[i] = None;
-                    metrics::DECODE_TRUNCATED.incr();
-                    break;
-                }
-            }
-            if next[i].is_some() {
+            let fits = || committed + need <= arena.headroom_bytes();
+            while !fits() && self.sessions[i].cache.demote_one() {}
+            if fits() {
                 committed += need;
+            } else {
+                outs[i].push(tok);
+                next[i] = None;
+                metrics::DECODE_TRUNCATED.incr();
             }
         }
     }
@@ -2618,6 +2635,19 @@ mod tests {
         for c in 0..expected.cols() {
             assert_eq!(logits[(0, c)], expected[(0, c)]);
         }
+
+        // The collapsed legacy form reports the lowest-indexed error.
+        let mut s0 = DecodeSession::new(&reference);
+        s0.prefill(&full);
+        let mut s1 = DecodeSession::new(&reference);
+        s1.prefill(&short);
+        let mut engine = BatchEngine::new(vec![s0, s1]);
+        assert_eq!(
+            engine.step_all(&[1, 1]),
+            Err(BatchError::Step(StepError::SequenceFull {
+                max_seq: shape.max_seq
+            }))
+        );
     }
 
     #[test]
@@ -2639,6 +2669,7 @@ mod tests {
             mismatch
         );
         assert_eq!(engine.try_step_all(&[0]).err(), Some(mismatch));
+        assert_eq!(engine.step_all(&[0]).err(), Some(mismatch));
         assert_eq!(
             engine
                 .generate_greedy(&[tokens(3, shape.vocab, 1)], 2)

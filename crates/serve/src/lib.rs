@@ -392,6 +392,14 @@ struct Admitted {
     clock: Instant,
 }
 
+/// The bound a truncated [`TerminalStatus::Done`] hit, named in its
+/// transcript line.
+#[derive(Clone, Copy)]
+enum Limit {
+    KvBudget,
+    Window,
+}
+
 /// An admitted request bound to a live decode session.
 struct Active<'m> {
     adm: Admitted,
@@ -653,7 +661,7 @@ impl<'m> Run<'m> {
                 })
             };
             if let Some(e) = refusal {
-                self.retire(t, req.id, None, TerminalStatus::Rejected(e), "");
+                self.retire(t, req.id, None, TerminalStatus::Rejected(e), None);
                 continue;
             }
             metrics::ADMITTED.incr();
@@ -679,10 +687,9 @@ impl<'m> Run<'m> {
     /// Fills free batch slots from the queue: sessions join mid-flight,
     /// the batch never drains first.
     fn join(&mut self, t: u64) {
-        while self.active.len() < self.cfg.max_batch {
-            let Some(adm) = self.waiting.pop_front() else {
-                break;
-            };
+        let free = self.cfg.max_batch.saturating_sub(self.active.len());
+        let joining: Vec<Admitted> = self.waiting.drain(..free.min(self.waiting.len())).collect();
+        for adm in joining {
             self.line(format!("[iter {t}] start r{}", adm.req.id));
             let session = match &self.template {
                 Some(tpl) => tpl.fork(),
@@ -704,23 +711,19 @@ impl<'m> Run<'m> {
     /// Watchdog: expires deadlines, waiting and active alike.
     fn expire(&mut self, t: u64) {
         let deadline = self.cfg.deadline_steps;
-        let (late, waiting): (VecDeque<Admitted>, _) = std::mem::take(&mut self.waiting)
-            .into_iter()
-            .partition(|adm| t - adm.admitted_at >= deadline);
-        self.waiting = waiting;
-        for adm in late {
+        // The queue is in admission order, so its late requests lead it.
+        while let Some(adm) = (self.waiting).pop_front_if(|adm| t - adm.admitted_at >= deadline) {
             let status = TerminalStatus::DeadlineExceeded { decoded: 0 };
-            self.retire(t, adm.req.id, Some(adm), status, "");
+            self.retire(t, adm.req.id, Some(adm), status, None);
         }
         let late: Vec<Active<'m>> = self
             .active
             .extract_if(.., |slot| t - slot.adm.admitted_at >= deadline)
             .collect();
         for slot in late {
-            let status = TerminalStatus::DeadlineExceeded {
-                decoded: slot.emitted,
-            };
-            self.retire(t, slot.adm.req.id, Some(slot.adm), status, "");
+            let decoded = slot.emitted;
+            let status = TerminalStatus::DeadlineExceeded { decoded };
+            self.retire(t, slot.adm.req.id, Some(slot.adm), status, None);
         }
     }
 
@@ -738,36 +741,35 @@ impl<'m> Run<'m> {
         let chunk = self.cfg.prefill_chunk.max(1);
         let mut idx = 0;
         while idx < self.active.len() {
-            if !self.grow_reservation(idx) {
-                let slot = self.active.remove(idx);
+            let ended = if self.grow_reservation(idx) {
+                let slot = &mut self.active[idx];
+                let injected = plan
+                    .is_some_and(|p| p.pool_panic((self.run_key ^ t) as usize, slot.adm.req.id));
+                catch_unwind(AssertUnwindSafe(|| {
+                    if injected {
+                        panic!("injected pool task fault (serve)");
+                    }
+                    advance(slot, chunk)
+                }))
+                .unwrap_or_else(|payload| {
+                    let reason = panic_reason(payload.as_ref());
+                    Some(TerminalStatus::Failed { reason })
+                })
+                .map(|status| (status, Limit::Window))
+            } else {
+                let tokens = self.active[idx].emitted;
                 let status = TerminalStatus::Done {
-                    tokens: slot.emitted,
+                    tokens,
                     truncated: true,
                 };
-                self.retire(t, slot.adm.req.id, Some(slot.adm), status, "kv budget");
+                Some((status, Limit::KvBudget))
+            };
+            let Some((status, limit)) = ended else {
+                idx += 1;
                 continue;
-            }
-            let slot = &mut self.active[idx];
-            let injected =
-                plan.is_some_and(|p| p.pool_panic((self.run_key ^ t) as usize, slot.adm.req.id));
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if injected {
-                    panic!("injected pool task fault (serve)");
-                }
-                advance(slot, chunk)
-            }));
-            let ended = result.unwrap_or_else(|payload| {
-                Some(TerminalStatus::Failed {
-                    reason: panic_reason(payload.as_ref()),
-                })
-            });
-            match ended {
-                None => idx += 1,
-                Some(status) => {
-                    let slot = self.active.remove(idx);
-                    self.retire(t, slot.adm.req.id, Some(slot.adm), status, "window");
-                }
-            }
+            };
+            let slot = self.active.remove(idx);
+            self.retire(t, slot.adm.req.id, Some(slot.adm), status, Some(limit));
         }
     }
 
@@ -805,14 +807,15 @@ impl<'m> Run<'m> {
     /// Records request `id`'s terminal `status` at iteration `t`: its
     /// outcome, transcript line and metric, and — for an admitted request
     /// (`adm`) — its latency and the release of its reservation. A
-    /// truncated `Done` names the `limit` it hit; other statuses ignore it.
+    /// truncated `Done` must name the `limit` it hit; other statuses
+    /// ignore it.
     fn retire(
         &mut self,
         t: u64,
         id: usize,
         adm: Option<Admitted>,
         status: TerminalStatus,
-        limit: &str,
+        limit: Option<Limit>,
     ) {
         let admitted_at = adm.map(|adm| {
             self.reserved -= adm.reserve;
@@ -836,10 +839,11 @@ impl<'m> Run<'m> {
             TerminalStatus::Done { tokens, truncated } => {
                 metrics::COMPLETED.incr();
                 let iters = t - admitted_at.unwrap_or(t);
-                let cut = if *truncated {
-                    format!(" (truncated at {limit})")
-                } else {
-                    String::new()
+                let cut = match (truncated, limit) {
+                    (false, _) => "",
+                    (true, Some(Limit::KvBudget)) => " (truncated at kv budget)",
+                    (true, Some(Limit::Window)) => " (truncated at window)",
+                    (true, None) => unreachable!("a truncated Done names its limit"),
                 };
                 format!("r{id} done: {tokens} tokens in {iters} iters{cut}")
             }
@@ -862,9 +866,9 @@ impl<'m> Run<'m> {
     /// logical time, so they belong in the transcript; wall-clock
     /// percentiles go to the metrics bank only.
     fn finish(mut self, run_start: Instant) -> ServeReport {
-        let unresolved = self.unresolved() as u64;
         let mut r = std::mem::take(&mut self.report);
         let mut latencies_iters = Vec::new();
+        r.unresolved = self.unresolved() as u64;
         r.admitted = (self.waiting.len() + self.active.len()) as u64;
         for o in &r.outcomes {
             if let Some(at) = o.admitted_at {
@@ -888,7 +892,6 @@ impl<'m> Run<'m> {
                 TerminalStatus::Failed { .. } => r.failed += 1,
             }
         }
-        r.unresolved = unresolved;
         latencies_iters.sort_unstable();
         self.latencies_ns.sort_unstable();
         r.latency_iters_p50 = percentile(&latencies_iters, 50);
@@ -945,21 +948,21 @@ fn advance(slot: &mut Active<'_>, chunk: usize) -> Option<TerminalStatus> {
         // session forked from a shared-prefix template is already
         // prefilled, so its own prompt extends it token by token.
         let take = chunk.min(prompt_len - slot.fed);
+        let toks = &slot.adm.req.prompt[slot.fed..slot.fed + take];
         let logits = if slot.session.is_empty() {
-            slot.session.prefill(&slot.adm.req.prompt[..take])
+            slot.session.prefill(toks)
         } else {
-            let mut logits = None;
-            for &tok in &slot.adm.req.prompt[slot.fed..slot.fed + take] {
-                match slot.session.step(tok) {
-                    Ok(l) => logits = Some(l),
-                    Err(e) => {
-                        return Some(TerminalStatus::Failed {
-                            reason: format!("prompt ingestion failed: {e}"),
-                        })
-                    }
+            match toks
+                .iter()
+                .try_fold(None, |_, &tok| slot.session.step(tok).map(Some))
+            {
+                Ok(logits) => logits.expect("chunk is non-empty"),
+                Err(e) => {
+                    return Some(TerminalStatus::Failed {
+                        reason: format!("prompt ingestion failed: {e}"),
+                    })
                 }
             }
-            logits.expect("chunk is non-empty")
         };
         slot.fed += take;
         metrics::PREFILL_CHUNK_TOKENS.add(take as u64);
@@ -975,28 +978,24 @@ fn advance(slot: &mut Active<'_>, chunk: usize) -> Option<TerminalStatus> {
     let tok = slot.pending.expect("decode phase has a pending token");
     slot.emitted += 1;
     metrics::DECODE_TOKENS.incr();
-    if slot.emitted >= slot.adm.req.decode_target {
-        return Some(TerminalStatus::Done {
-            tokens: slot.emitted,
-            truncated: false,
-        });
-    }
-    match slot.session.step_greedy(tok) {
-        Ok(next) => {
-            slot.pending = Some(next);
-            None
+    let truncated = slot.emitted < slot.adm.req.decode_target;
+    if truncated {
+        match slot.session.step_greedy(tok) {
+            Ok(next) => {
+                slot.pending = Some(next);
+                return None;
+            }
+            Err(StepError::SequenceFull { .. }) => engine_metrics::DECODE_TRUNCATED.incr(),
+            Err(e) => {
+                let reason = format!("step failed: {e}");
+                return Some(TerminalStatus::Failed { reason });
+            }
         }
-        Err(StepError::SequenceFull { .. }) => {
-            engine_metrics::DECODE_TRUNCATED.incr();
-            Some(TerminalStatus::Done {
-                tokens: slot.emitted,
-                truncated: true,
-            })
-        }
-        Err(e) => Some(TerminalStatus::Failed {
-            reason: format!("step failed: {e}"),
-        }),
     }
+    Some(TerminalStatus::Done {
+        tokens: slot.emitted,
+        truncated,
+    })
 }
 
 /// Stable panic description: injected pool faults collapse to a fixed
